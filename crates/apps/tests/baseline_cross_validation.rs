@@ -15,8 +15,8 @@ use vrdf_core::{
     compute_buffer_capacities, GraphAnalysis, QuantumSet, TaskGraph, ThroughputConstraint,
 };
 use vrdf_sdf::{
-    analyze, baseline_capacities, steady_state, BaselineAnalysis, CsdfGraph, ExecOptions,
-    ExecOutcome,
+    analyze, baseline_capacities, minimize_sdf_capacities, steady_state, BaselineAnalysis,
+    CsdfGraph, ExecOptions, ExecOutcome, SdfSearchOptions,
 };
 
 /// Asserts the exact spread identity per edge and returns how many edges
@@ -204,6 +204,30 @@ fn sized_lowerings_sustain_their_constraints_operationally() {
         let state = steady_state(&sized, constraint, &ExecOptions::default()).unwrap();
         assert_eq!(state.outcome, ExecOutcome::Periodic, "seed {seed}");
         assert!(state.meets_constraint(), "seed {seed}: {state}");
+    }
+}
+
+#[test]
+fn sdf_floors_of_the_sized_case_studies_are_pinned() {
+    // The SDF floor beneath each sized lowering (MP3's is pinned with
+    // the detector tests in `vrdf-sdf`).  The search is deterministic,
+    // so the probe counts are exact too.
+    let cases: [(&str, &[u64], u32); 2] = [
+        ("fork-join", &[5888, 3072, 3072, 882, 882, 485], 65),
+        ("mp3-feedback", &[5888, 3072, 881, 128], 45),
+    ];
+    for (name, floor, probes) in cases {
+        let study = case_study(name).unwrap();
+        let sized = baseline_capacities(&study.graph, study.constraint)
+            .unwrap()
+            .sized_lowering(&study.graph);
+        let report =
+            minimize_sdf_capacities(&sized, study.constraint, &SdfSearchOptions::default())
+                .unwrap();
+        assert!(report.baseline_clear, "{name}");
+        let minima: Vec<u64> = report.channels.iter().map(|c| c.minimal).collect();
+        assert_eq!(minima, floor, "{name}");
+        assert_eq!(report.probes, probes, "{name}");
     }
 }
 

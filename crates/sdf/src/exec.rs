@@ -17,14 +17,13 @@
 //! reaches a *periodic steady state*.  All event times are rescaled onto
 //! one integer tick clock (the `vrdf-sim` PR 2 design), which makes the
 //! execution state — channel fills, actor phases, remaining busy ticks —
-//! a point in a **finite** space: the executor snapshots it at every
-//! iteration boundary of the endpoint and detects the steady state as
-//! the first repeated snapshot ([`SteadyState`]), from which the achieved
-//! endpoint throughput is exact rather than estimated.
+//! a point in a **finite** space: the executor snapshots it at a few
+//! evenly spaced endpoint firing counts per iteration and detects the
+//! steady state as the first repeated snapshot ([`SteadyState`]), from
+//! which the achieved endpoint throughput is exact rather than estimated.
 
-use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 
 use vrdf_core::{ConstrainedRelease, CoreCounters, CounterSink, Rational, ThroughputConstraint};
@@ -38,8 +37,9 @@ pub struct ExecOptions {
     /// When the throughput-constrained endpoint frees the containers it
     /// consumed; the default matches the analysis' convention.
     pub release: ConstrainedRelease,
-    /// Iteration-boundary snapshots to explore before giving up with
-    /// [`SdfError::NoSteadyState`].
+    /// Whole endpoint iterations to explore before giving up with
+    /// [`SdfError::NoSteadyState`].  Counted in iterations however often
+    /// the executor snapshots within one.
     pub max_boundaries: u64,
     /// Event budget before [`SdfError::BudgetExhausted`].
     pub max_events: u64,
@@ -80,14 +80,16 @@ pub struct SteadyState {
     pub endpoint: ActorId,
     /// The required endpoint period `τ`.
     pub period: Rational,
-    /// Time at which the repeating cycle first starts (deadlock time for
-    /// a dead run).
+    /// Time of the first snapshot of the repeated state: the periodic
+    /// regime has begun by then (deadlock time for a dead run).  Snapshots
+    /// are taken several times per iteration, so this lands within a
+    /// fraction of an iteration of the true transient.
     pub transient: Rational,
     /// Duration of one steady-state cycle (zero for deadlock).
     pub cycle_time: Rational,
     /// Endpoint firings per steady-state cycle (zero for deadlock).
     pub cycle_firings: u64,
-    /// Iteration boundaries explored until detection.
+    /// Whole endpoint iterations completed at detection.
     pub boundaries: u64,
     /// Events processed until detection.
     pub events: u64,
@@ -183,8 +185,6 @@ struct Executor<'a> {
     tick_den: i128,
     actors: Vec<ActorState>,
     channels: Vec<ChannelState>,
-    heap: BinaryHeap<Reverse<(i128, u64, usize)>>,
-    seq: u64,
     now: i128,
     events: u64,
     counters: CoreCounters,
@@ -250,8 +250,6 @@ impl<'a> Executor<'a> {
             tick_den,
             actors,
             channels,
-            heap: BinaryHeap::new(),
-            seq: 0,
             now: 0,
             events: 0,
             counters: CoreCounters::default(),
@@ -306,8 +304,6 @@ impl<'a> Executor<'a> {
         if self.opts.telemetry {
             self.counters.on_firing_started();
         }
-        self.seq += 1;
-        self.heap.push(Reverse((finish, self.seq, a)));
     }
 
     fn apply_finish(&mut self, a: usize) {
@@ -339,21 +335,19 @@ impl<'a> Executor<'a> {
     }
 
     /// Processes every finish event due at `now`; `Ok(true)` when any
-    /// fired.
+    /// fired.  An actor has at most one firing in flight, and finishes at
+    /// one instant commute, so actor order is as good as any.
     fn drain_finishes_at_now(&mut self) -> Result<bool, SdfError> {
         let mut any = false;
-        while let Some(&Reverse((time, _, _))) = self.heap.peek() {
-            if time != self.now {
-                break;
+        for a in 0..self.actors.len() {
+            if self.actors[a].busy_until != Some(self.now) {
+                continue;
             }
             if self.events >= self.opts.max_events {
                 return Err(SdfError::BudgetExhausted {
                     events: self.events,
                 });
             }
-            // The surrounding loop peeked this entry.
-            #[allow(clippy::expect_used)]
-            let Reverse((_, _, a)) = self.heap.pop().expect("peeked");
             self.events += 1;
             if self.opts.telemetry {
                 self.counters.on_event_popped();
@@ -444,26 +438,48 @@ pub fn steady_state(
     constraint: ThroughputConstraint,
     opts: &ExecOptions,
 ) -> Result<SteadyState, SdfError> {
+    detect(g, constraint, opts, SAMPLES_PER_ITERATION)
+}
+
+/// Snapshots per endpoint iteration.  Any two equal snapshots prove
+/// periodicity, so sampling within the iteration finds the first repeat
+/// about one iteration after the transient instead of at the second
+/// boundary past it.
+const SAMPLES_PER_ITERATION: u64 = 8;
+
+/// [`steady_state`] with up to `samples` evenly spaced snapshots per
+/// iteration; `1` snapshots at iteration boundaries only.
+fn detect(
+    g: &CsdfGraph,
+    constraint: ThroughputConstraint,
+    opts: &ExecOptions,
+    samples: u64,
+) -> Result<SteadyState, SdfError> {
     let repetition = g.repetition_vector()?;
     let endpoint = g.unique_endpoint(constraint.location())?;
     let per_iteration = repetition.firings(endpoint);
+    // The stride divides the iteration, so every boundary is a sample
+    // point and the samples fall at the same offsets in every cycle.
+    let samples = (1..=samples)
+        .rev()
+        .find(|s| per_iteration % s == 0)
+        .unwrap_or(1);
+    let stride = per_iteration / samples;
 
     let mut exec = Executor::new(g, endpoint, *opts)?;
     let tick_den = exec.tick_den;
     let mut seen: HashMap<StateKey, (i128, u64)> = HashMap::new();
-    let mut boundaries = 0u64;
+    let mut sampled = 0u64;
 
     loop {
         exec.settle()?;
 
         let endpoint_finished = exec.actors[exec.endpoint].finished;
-        let due = (boundaries + 1).saturating_mul(per_iteration);
-        if endpoint_finished >= due {
+        let boundaries = endpoint_finished / per_iteration;
+        if endpoint_finished >= (sampled + 1).saturating_mul(stride) {
             // One snapshot per settled instant, even when several
-            // boundaries were crossed in it.
-            while endpoint_finished >= (boundaries + 1).saturating_mul(per_iteration) {
-                boundaries += 1;
-            }
+            // sample points were crossed in it.
+            sampled = endpoint_finished / stride;
             if boundaries > opts.max_boundaries {
                 return Err(SdfError::NoSteadyState {
                     boundaries: boundaries - 1,
@@ -474,7 +490,7 @@ pub fn steady_state(
                     let &(t0, f0) = first.get();
                     let dt = exec.now - t0;
                     if dt == 0 {
-                        // Time never advanced between two boundaries —
+                        // Time never advanced between two snapshots —
                         // unbounded speed, not a physical steady state.
                         return Err(SdfError::NoSteadyState { boundaries });
                     }
@@ -497,14 +513,13 @@ pub fn steady_state(
             }
         }
 
-        match exec.heap.peek() {
-            Some(&Reverse((time, _, _))) => {
+        match exec.actors.iter().filter_map(|a| a.busy_until).min() {
+            Some(time) => {
                 debug_assert!(time > exec.now, "settle drained the current instant");
                 exec.now = time;
             }
             None => {
                 // Quiescent with nothing in flight: deadlock.
-                debug_assert!(exec.actors.iter().all(|a| a.busy_until.is_none()));
                 return Ok(SteadyState {
                     outcome: ExecOutcome::Deadlock,
                     endpoint,
@@ -646,25 +661,29 @@ pub fn minimize_sdf_capacities(
     constraint: ThroughputConstraint,
     opts: &SdfSearchOptions,
 ) -> Result<SdfMinimizationReport, SdfError> {
+    search(g, |probe_graph| {
+        steady_state(probe_graph, constraint, &opts.exec)
+    })
+}
+
+/// The search behind [`minimize_sdf_capacities`], with the steady-state
+/// run injected so tests can drive two detectors through the same probe
+/// sequence.
+fn search(
+    g: &CsdfGraph,
+    mut run: impl FnMut(&CsdfGraph) -> Result<SteadyState, SdfError>,
+) -> Result<SdfMinimizationReport, SdfError> {
     let mut probes_total = 0u32;
-    let mut probe = |current: &[(ChannelId, u64)]| -> Result<bool, SdfError> {
+    let mut probe = |probe_graph: &CsdfGraph| -> Result<bool, SdfError> {
         probes_total += 1;
-        let probe_graph = g.with_capacities(current);
-        let state = steady_state(&probe_graph, constraint, &opts.exec)?;
+        let state = run(probe_graph)?;
         Ok(state.outcome == ExecOutcome::Periodic && state.meets_constraint())
     };
 
-    let mut current: Vec<(ChannelId, u64)> = g
-        .channels()
-        .map(|(id, c)| {
-            (
-                id,
-                // Unset capacities are caught by the probe's executor
-                // with a proper error; 0 keeps the tuple shape.
-                c.capacity().unwrap_or(0),
-            )
-        })
-        .collect();
+    // One working copy whose capacities each probe sets in place; between
+    // channel steps they equal the channels' running minima.  Unset
+    // capacities stay unset, so the first probe reports them.
+    let mut work = g.clone();
     let mut channels: Vec<SdfChannelMinimum> = g
         .channels()
         .map(|(id, c)| SdfChannelMinimum {
@@ -684,31 +703,31 @@ pub fn minimize_sdf_capacities(
         })
         .collect();
 
-    let baseline_clear = probe(&current)?;
+    let baseline_clear = probe(&work)?;
     let mut passes = 0u32;
     if baseline_clear {
         loop {
             passes += 1;
             let mut changed = false;
-            for i in 0..channels.len() {
-                let upper = current[i].1;
-                let floor = channels[i].floor;
-                if upper <= floor {
+            for minimum in &mut channels {
+                let upper = minimum.minimal;
+                if upper <= minimum.floor {
                     continue;
                 }
+                let id = minimum.channel;
                 let mut probes_here = 0u32;
                 // Cheap reprobe first: at a fixed point `upper - 1`
                 // fails and the edge costs one probe.
-                current[i].1 = upper - 1;
+                work.set_capacity(id, upper - 1);
                 probes_here += 1;
-                let mut lo = floor;
-                if probe(&current)? {
+                let mut lo = minimum.floor;
+                if probe(&work)? {
                     let mut hi = upper - 1;
                     while lo < hi {
                         let mid = lo + (hi - lo) / 2;
-                        current[i].1 = mid;
+                        work.set_capacity(id, mid);
                         probes_here += 1;
-                        if probe(&current)? {
+                        if probe(&work)? {
                             hi = mid;
                         } else {
                             lo = mid + 1;
@@ -717,10 +736,10 @@ pub fn minimize_sdf_capacities(
                 } else {
                     lo = upper;
                 }
-                current[i].1 = lo;
-                channels[i].probes += probes_here;
+                work.set_capacity(id, lo);
+                minimum.probes += probes_here;
                 if lo < upper {
-                    channels[i].minimal = lo;
+                    minimum.minimal = lo;
                     changed = true;
                 }
             }
@@ -958,5 +977,120 @@ mod tests {
         assert!(!report.baseline_clear);
         assert_eq!(report.total_gap(), 0);
         assert_eq!(report.probes, 1);
+    }
+
+    #[test]
+    fn search_reports_unset_capacities() {
+        let mut g = CsdfGraph::new();
+        let a = g.add_actor("a", [rat(1, 1)]).unwrap();
+        let b = g.add_actor("b", [rat(1, 1)]).unwrap();
+        g.connect("c", a, b, [1], [1]).unwrap();
+        let constraint = ThroughputConstraint::on_sink(rat(1, 1)).unwrap();
+        assert!(matches!(
+            minimize_sdf_capacities(&g, constraint, &SdfSearchOptions::default()),
+            Err(SdfError::CapacityUnset { .. })
+        ));
+    }
+
+    /// Runs the sampling detector and the boundary-only one on `g`, checks
+    /// that they reach the same verdict with less work for the former,
+    /// and returns both results, sampling first.
+    fn assert_detectors_agree(
+        g: &CsdfGraph,
+        constraint: ThroughputConstraint,
+        context: &str,
+    ) -> (SteadyState, SteadyState) {
+        let opts = ExecOptions::default();
+        let sampled = steady_state(g, constraint, &opts).unwrap();
+        let boundary = detect(g, constraint, &opts, 1).unwrap();
+        assert_eq!(sampled.outcome, boundary.outcome, "{context}");
+        assert_eq!(
+            sampled.meets_constraint(),
+            boundary.meets_constraint(),
+            "{context}"
+        );
+        assert_eq!(sampled.throughput(), boundary.throughput(), "{context}");
+        assert_eq!(
+            sampled.achieved_period(),
+            boundary.achieved_period(),
+            "{context}"
+        );
+        let per_iteration = g.repetition_vector().unwrap().firings(sampled.endpoint);
+        assert_eq!(sampled.cycle_firings % per_iteration, 0, "{context}");
+        if sampled.outcome == ExecOutcome::Periodic && per_iteration > 1 {
+            assert!(
+                sampled.events < boundary.events,
+                "{context}: {} events sampled, {} at boundaries",
+                sampled.events,
+                boundary.events
+            );
+        } else {
+            assert!(sampled.events <= boundary.events, "{context}");
+        }
+        (sampled, boundary)
+    }
+
+    fn sized_lowering(
+        (tg, constraint): (vrdf_core::TaskGraph, ThroughputConstraint),
+    ) -> (CsdfGraph, ThroughputConstraint) {
+        let baseline = crate::baseline_capacities(&tg, constraint).unwrap();
+        (baseline.sized_lowering(&tg), constraint)
+    }
+
+    #[test]
+    fn sampling_detector_agrees_with_the_boundary_detector() {
+        // Boundary-only detection spends two whole iterations on each
+        // case study; sampling stops one iteration after the transient.
+        for (name, boundary_events, sampled_events) in [
+            ("mp3", 339_930, 191_212),
+            ("fork-join", 341_468, 192_078),
+            ("mp3-feedback", 339_930, 191_212),
+        ] {
+            let study = vrdf_apps::case_study(name).unwrap();
+            let (g, constraint) = sized_lowering((study.graph, study.constraint));
+            let (sampled, boundary) = assert_detectors_agree(&g, constraint, name);
+            assert_eq!(sampled.outcome, ExecOutcome::Periodic, "{name}");
+            assert_eq!(sampled.throughput(), Some(rat(44_100, 1)), "{name}");
+            assert_eq!(
+                (boundary.boundaries, boundary.events),
+                (2, boundary_events),
+                "{name}"
+            );
+            assert_eq!(
+                (sampled.boundaries, sampled.events),
+                (1, sampled_events),
+                "{name}"
+            );
+        }
+        let acyclic = vrdf_apps::synthetic::DagSpec::default();
+        for seed in 0..8 {
+            let (g, constraint) =
+                sized_lowering(vrdf_apps::synthetic::random_dag(seed, &acyclic).unwrap());
+            assert_detectors_agree(&g, constraint, &format!("dag {seed}"));
+        }
+        let cyclic = vrdf_apps::synthetic::DagSpec {
+            feedback_headroom: Some(2),
+            ..acyclic
+        };
+        for seed in 0..12 {
+            let (g, constraint) =
+                sized_lowering(vrdf_apps::synthetic::random_dag(seed, &cyclic).unwrap());
+            assert_detectors_agree(&g, constraint, &format!("cyclic {seed}"));
+        }
+    }
+
+    #[test]
+    fn sampling_detector_agrees_on_every_mp3_search_probe() {
+        let study = vrdf_apps::case_study("mp3").unwrap();
+        let (g, constraint) = sized_lowering((study.graph, study.constraint));
+        let mut probe = 0;
+        let report = search(&g, |probe_graph| {
+            probe += 1;
+            Ok(assert_detectors_agree(probe_graph, constraint, &format!("probe {probe}")).0)
+        })
+        .unwrap();
+        let minima: Vec<u64> = report.channels.iter().map(|c| c.minimal).collect();
+        assert_eq!(minima, [5888, 3072, 881]);
+        assert_eq!(report.probes, 38);
     }
 }

@@ -57,6 +57,9 @@ fn native_pipeline_reproduces_and_sustains_the_published_mp3_capacities() {
     // The DAC is the bottleneck of its own period: the steady state runs
     // at exactly 44.1 kHz.
     assert_eq!(state.throughput().unwrap(), Rational::from(44_100u64));
+    // The repeat is found within the second iteration: the exact work
+    // the sized lowering costs the executor.
+    assert_eq!((state.boundaries, state.events), (1, 191_212));
 }
 
 /// The operational floor sits beneath the analytic sizing: self-timed
