@@ -849,10 +849,10 @@ pub fn export_trace(
     let mut config = SimConfig::periodic(constraint, offset);
     config.max_endpoint_firings = endpoint_firings;
     config.trace = TraceLevel::All;
-    let report =
-        Simulator::with_telemetry(&sized, QuantumPlan::uniform(QuantumPolicy::Max), config)
-            .map_err(|e| format!("simulator construction failed: {e}"))?
-            .run();
+    config.telemetry = true;
+    let report = Simulator::new(&sized, QuantumPlan::uniform(QuantumPolicy::Max), config)
+        .map_err(|e| format!("simulator construction failed: {e}"))?
+        .run();
     std::fs::write(path, perfetto_trace(&report))
         .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     Ok(report)

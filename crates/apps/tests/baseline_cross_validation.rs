@@ -317,6 +317,34 @@ fn native_analysis_matches_vrdf_on_constant_rate_lowerings() {
 }
 
 #[test]
+fn native_analysis_sizes_feedback_initial_tokens() {
+    // The native analysis charges a back-edge's pre-filled containers on
+    // top of its in-flight bound, like Eq. (4) and the baseline: the
+    // sized lowering can hold its δ0, and the SDF search from it reaches
+    // the same floor as from the baseline sizing.
+    let tg = mp3_feedback();
+    let mut lowered = CsdfGraph::lower_constant_max(&tg);
+    let native = analyze(&lowered, mp3_constraint()).unwrap();
+    let fb = native
+        .capacities()
+        .iter()
+        .find(|c| c.name == "fb")
+        .expect("fb is lowered");
+    assert!(fb.capacity >= vrdf_apps::MP3_FEEDBACK_INITIAL_TOKENS);
+    // fb has constant quanta, so the baseline charges it no spread.
+    let baseline = baseline_capacities(&tg, mp3_constraint()).unwrap();
+    let baseline_fb = baseline.edges().iter().find(|e| e.name == "fb").unwrap();
+    assert_eq!(fb.capacity, baseline_fb.capacity);
+
+    native.apply(&mut lowered);
+    let report =
+        minimize_sdf_capacities(&lowered, mp3_constraint(), &SdfSearchOptions::default()).unwrap();
+    assert!(report.baseline_clear);
+    let minima: Vec<u64> = report.channels.iter().map(|c| c.minimal).collect();
+    assert_eq!(minima, [5888, 3072, 881, 128]);
+}
+
+#[test]
 fn zero_consumption_sets_lower_cleanly() {
     // {0..n} consumption (the MP3 d1 shape) must survive the whole
     // baseline path: spreads include the zero member, and the lowering

@@ -1,12 +1,13 @@
-//! Cost of the fault-injection hooks on the MP3 chain: the uninjected
-//! tick engine against the same engine constructed with an **empty**
-//! [`FaultPlan`] (hooks compiled in, gated on `faults.is_empty()`), and
-//! against a plan that actually strikes (one 5 ms `vSRC` stall).
+//! Cost of the fault-injection hooks on the MP3 chain: the default
+//! configuration against one whose [`SimConfig::faults`] is set to an
+//! explicitly **empty** [`FaultPlan`], and against a plan that actually
+//! strikes (one 5 ms `vSRC` stall).
 //!
-//! `tests/faults.rs` proves the empty-plan run is bit-identical to the
-//! plain one; this bench pins that the identity is also nearly free —
-//! `overhead_vs_plain` is the ratio a regression in the hot-path gating
-//! would move.
+//! The `plain` and `zero-fault-plan` arms build through the same
+//! constructor with the same (empty) fault plan, so they run the same
+//! code: their ratio measures noise.  The hooks are compiled in and
+//! gated on the plan's emptiness; `overhead_vs_plain` of the stalling
+//! arm is the cost of a plan that strikes.
 //!
 //! ```console
 //! $ cargo bench -p vrdf-bench --bench fault_overhead
@@ -34,8 +35,12 @@ fn main() {
         c.max_endpoint_firings = firings;
         c
     };
-    let empty = FaultPlan::new();
-    let stall = FaultPlan::new().stall("vSRC", 10, 1, Rational::new(5, 1000));
+    let fault_config = |faults: FaultPlan| SimConfig {
+        faults,
+        ..config.clone()
+    };
+    let empty = fault_config(FaultPlan::new());
+    let stall = fault_config(FaultPlan::new().stall("vSRC", 10, 1, Rational::new(5, 1000)));
 
     let probe = Simulator::new(&sized, plan(), config.clone())
         .expect("construction succeeds")
@@ -49,13 +54,13 @@ fn main() {
         std::hint::black_box(report.events_processed);
     });
     let zero_fault = time_per_iteration(opts.warmup, opts.iterations, || {
-        let report = Simulator::with_faults(&sized, plan(), config.clone(), &empty)
+        let report = Simulator::new(&sized, plan(), empty.clone())
             .expect("construction succeeds")
             .run();
         std::hint::black_box(report.events_processed);
     });
     let stalled = time_per_iteration(opts.warmup, opts.iterations, || {
-        let report = Simulator::with_faults(&sized, plan(), config.clone(), &stall)
+        let report = Simulator::new(&sized, plan(), stall.clone())
             .expect("construction succeeds")
             .run();
         std::hint::black_box((report.events_processed, report.faults_injected));

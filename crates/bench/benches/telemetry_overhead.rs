@@ -1,14 +1,15 @@
 //! Cost of the telemetry hooks on the MP3 chain and a 64-task random
-//! chain: the uninstrumented tick engine against the same engine built
-//! through the fully general constructor with [`Telemetry::disabled()`]
-//! (hooks compiled in, gated on one boolean — the production path), and
-//! against an enabled run collecting counters and phase spans.
+//! chain: the default configuration against one that sets
+//! [`SimConfig::telemetry`] to `false` explicitly and runs a reused
+//! [`SimPlan`], and against an enabled run collecting counters and phase
+//! spans.
 //!
-//! `tests/telemetry.rs` proves the disabled run is bit-identical to the
-//! plain one; this bench pins that the identity is also nearly free —
-//! the `disabled_overhead_vs_plain_*` summary ratios are what a
-//! regression in the hot-path gating would move, and CI asserts they
-//! stay ≤ 1.05.
+//! The `plain` and `disabled` arms build through the same constructor
+//! with the same configuration, so they run the same code (hooks
+//! compiled in, gated on one boolean): the
+//! `disabled_overhead_vs_plain_*` summary ratios measure noise, and CI
+//! asserts they stay ≤ 1.05.  `tests/telemetry.rs` proves an enabled
+//! run only adds data to the disabled one.
 //!
 //! ```console
 //! $ cargo bench -p vrdf-bench --bench telemetry_overhead
@@ -18,10 +19,7 @@ use vrdf_apps::synthetic::{random_chain_of_length, ChainSpec};
 use vrdf_apps::{mp3_chain, mp3_constraint};
 use vrdf_bench::{emit, emit_summary, time_per_iteration, BenchOpts, Measurement};
 use vrdf_core::{compute_buffer_capacities, TaskGraph, ThroughputConstraint};
-use vrdf_sim::{
-    conservative_offset, FaultPlan, QuantumPlan, QuantumPolicy, SimConfig, SimPlan, Simulator,
-    Telemetry,
-};
+use vrdf_sim::{conservative_offset, QuantumPlan, QuantumPolicy, SimConfig, SimPlan, Simulator};
 
 struct Workload {
     name: &'static str,
@@ -79,6 +77,10 @@ fn main() {
             .expect("construction succeeds")
             .run();
         let events = probe.events_processed as f64;
+        let telemetry_config = |telemetry: bool| SimConfig {
+            telemetry,
+            ..w.config.clone()
+        };
 
         let plain = time_per_iteration(opts.warmup, opts.iterations, || {
             let report = Simulator::new(&w.sized, plan(), w.config.clone())
@@ -86,22 +88,17 @@ fn main() {
                 .run();
             std::hint::black_box(report.events_processed);
         });
-        // The fully general constructor with everything gated off — the
-        // code path every uninstrumented production run takes.
+        // Telemetry explicitly off on a plan-and-state run — the code
+        // path every uninstrumented battery scenario takes.
         let disabled = time_per_iteration(opts.warmup, opts.iterations, || {
-            let sim_plan = SimPlan::instrumented(
-                &w.sized,
-                w.config.clone(),
-                &FaultPlan::new(),
-                Telemetry::disabled(),
-            )
-            .expect("construction succeeds");
+            let sim_plan =
+                SimPlan::new(&w.sized, telemetry_config(false)).expect("construction succeeds");
             let mut state = sim_plan.state();
             let report = sim_plan.run(&mut state, &plan()).expect("run executes");
             std::hint::black_box(report.events_processed);
         });
         let enabled = time_per_iteration(opts.warmup, opts.iterations, || {
-            let report = Simulator::with_telemetry(&w.sized, plan(), w.config.clone())
+            let report = Simulator::new(&w.sized, plan(), telemetry_config(true))
                 .expect("construction succeeds")
                 .run();
             std::hint::black_box((

@@ -843,7 +843,9 @@ impl CsdfAnalysis {
 /// The strictly periodic endpoint frees the containers it consumed at
 /// its firing *start*, so its response time does not enter the adjacent
 /// channel's distance (the convention that reproduces the paper's
-/// published MP3 capacities).
+/// published MP3 capacities).  A channel's initial tokens `δ0` occupy
+/// containers on top of that in-flight bound, as in Eq. (4) and
+/// [`crate::baseline_capacities`].
 ///
 /// # Errors
 ///
@@ -890,7 +892,7 @@ pub fn analyze(g: &CsdfGraph, constraint: ThroughputConstraint) -> Result<CsdfAn
         capacities.push(ChannelCapacity {
             channel: id,
             name: channel.name().to_owned(),
-            capacity: capacity as u64,
+            capacity: (capacity as u64).saturating_add(channel.initial_tokens()),
             token_period: t,
             total_gap,
         });

@@ -1,8 +1,8 @@
 //! The self-timed discrete-event executor.
 //!
-//! The engine executes a fork/join [`TaskGraph`] (any DAG accepted by
-//! [`TaskGraph::dag`]; chains are the degenerate case) under the paper's
-//! operational semantics (Section 3): a task may start a firing when
+//! The engine executes a fork/join [`TaskGraph`] (any graph accepted by
+//! [`TaskGraph::condensed`]; chains are the degenerate case) under the
+//! paper's operational semantics (Section 3): a task may start a firing when
 //! *every* input buffer holds enough full containers *and* *every* output
 //! buffer holds enough empty containers for the per-edge quanta of that
 //! firing; containers are claimed atomically on all adjacent buffers at
@@ -87,7 +87,7 @@ use vrdf_core::{
 
 use crate::faults::{CompiledFaults, FaultPlan};
 use crate::policy::{CompiledQuantum, QuantumPlan, Side};
-use crate::telemetry::{EngineCounters, OccupancySample, PhaseTimes, Telemetry};
+use crate::telemetry::{EngineCounters, OccupancySample, PhaseTimes};
 use crate::SimError;
 
 /// How the throughput-constrained endpoint task is scheduled.
@@ -139,6 +139,16 @@ pub struct SimConfig {
     pub trace: TraceLevel,
     /// Stop at the first deadline miss instead of collecting all of them.
     pub stop_on_violation: bool,
+    /// Bounded fault perturbations every run replays (see
+    /// [`crate::faults`]).  Empty by default: every fault hook is gated
+    /// on the plan's emptiness, so a fault-free run takes the plain
+    /// engine's path.
+    pub faults: FaultPlan,
+    /// Collect [`EngineCounters`], reset/run phase spans, and — when the
+    /// run traces at [`TraceLevel::All`] — per-buffer occupancy samples
+    /// ([`SimReport::occupancy`]).  `false` by default: every telemetry
+    /// hook is gated on this one flag.
+    pub telemetry: bool,
 }
 
 impl SimConfig {
@@ -153,6 +163,8 @@ impl SimConfig {
             max_events: 50_000_000,
             trace: TraceLevel::None,
             stop_on_violation: false,
+            faults: FaultPlan::new(),
+            telemetry: false,
         }
     }
 
@@ -358,17 +370,16 @@ pub struct SimReport {
     /// `None` when no fault struck; recovery windows are measured from
     /// here.
     pub last_fault_time: Option<Rational>,
-    /// Engine activity counters; `Some` iff the plan was built with
-    /// telemetry enabled ([`SimPlan::with_telemetry`] /
-    /// [`SimPlan::instrumented`]).
+    /// Engine activity counters; `Some` iff the run's
+    /// [`SimConfig::telemetry`] is on.
     pub counters: Option<EngineCounters>,
     /// Buffer-occupancy history, one sample per occupancy change.
     /// Non-empty only for telemetry-enabled runs traced at
     /// [`TraceLevel::All`]; the Perfetto exporter renders these as
     /// counter tracks.
     pub occupancy: Vec<OccupancySample>,
-    /// Wall-clock spans of the reset and run phases; `Some` iff the plan
-    /// was built with telemetry enabled.  Wall times live here, outside
+    /// Wall-clock spans of the reset and run phases; `Some` iff the run's
+    /// [`SimConfig::telemetry`] is on.  Wall times live here, outside
     /// every compared field, so differential comparisons and merged
     /// results stay deterministic.
     pub spans: Option<PhaseTimes>,
@@ -720,22 +731,19 @@ pub struct SimPlan<'a> {
     /// Largest steady-state event delta (max response time, period) — the
     /// sizing hint for the [`EventQueue`] timing wheel.
     wheel_hint: i128,
-    /// Bounded fault perturbations, compiled onto this plan's tick clock.
+    /// [`SimConfig::faults`], compiled onto this plan's tick clock.
     /// Empty for fault-free plans; every hot-path hook is gated on the
-    /// emptiness check so [`SimPlan::new`] stays bit-identical to the
-    /// pre-fault engine.
+    /// emptiness check, and the telemetry hooks on
+    /// [`SimConfig::telemetry`].
     faults: CompiledFaults,
-    /// Whether runs of this plan collect [`EngineCounters`], phase spans,
-    /// and (at [`TraceLevel::All`]) occupancy samples.  Gated exactly
-    /// like `faults`: every hook checks this one boolean, so a disabled
-    /// plan is bit-identical to the pre-telemetry engine
-    /// (`tests/telemetry.rs` pins it).
-    telemetry: bool,
 }
 
 impl<'a> SimPlan<'a> {
     /// Builds the reusable plan for a task graph (chain or fork/join DAG)
-    /// under one [`SimConfig`].
+    /// under one [`SimConfig`], compiling its [`SimConfig::faults`] onto
+    /// the tick clock: transient stalls and drop-retries inflate the
+    /// affected firings' response times, release jitter delays the
+    /// endpoint's periodic releases.
     ///
     /// Buffers may still be missing capacities here — defaults are taken
     /// from the graph and checked (after per-run overrides) when a run
@@ -744,69 +752,14 @@ impl<'a> SimPlan<'a> {
     ///
     /// # Errors
     ///
-    /// * [`SimError::Analysis`] — the graph is not a valid DAG, or the
-    ///   constrained endpoint is ambiguous.
-    /// * [`SimError::TickOverflow`] — the run's times cannot be rescaled
-    ///   to a shared integer tick clock within `u64` ticks.
+    /// * [`SimError::Analysis`] — the graph is not a valid DAG, the
+    ///   constrained endpoint is ambiguous, or the fault plan names an
+    ///   unknown task.
+    /// * [`SimError::TickOverflow`] — the run's times (fault times
+    ///   included) cannot be rescaled to a shared integer tick clock
+    ///   within `u64` ticks.
+    /// * [`SimError::InvalidFault`] — a negative fault duration.
     pub fn new(tg: &'a TaskGraph, config: SimConfig) -> Result<SimPlan<'a>, SimError> {
-        Self::build(tg, config, None, Telemetry::disabled())
-    }
-
-    /// Like [`SimPlan::new`], but every run of the plan replays the given
-    /// bounded [`FaultPlan`]: transient stalls and drop-retries inflate
-    /// the affected firings' response times, release jitter delays the
-    /// endpoint's periodic releases.  An empty plan is bit-identical to
-    /// [`SimPlan::new`].
-    ///
-    /// # Errors
-    ///
-    /// As [`SimPlan::new`], plus [`SimError::InvalidFault`] for negative
-    /// fault durations and [`SimError::Analysis`] /
-    /// [`SimError::TickOverflow`] for unknown task names or fault times
-    /// that do not fit the tick clock.
-    pub fn with_faults(
-        tg: &'a TaskGraph,
-        config: SimConfig,
-        faults: &FaultPlan,
-    ) -> Result<SimPlan<'a>, SimError> {
-        Self::build(tg, config, Some(faults), Telemetry::disabled())
-    }
-
-    /// Like [`SimPlan::new`], but every run of the plan collects
-    /// telemetry: [`EngineCounters`], reset/run phase spans, and — when
-    /// the config traces at [`TraceLevel::All`] — per-buffer occupancy
-    /// samples ([`SimReport::occupancy`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`SimPlan::new`].
-    pub fn with_telemetry(tg: &'a TaskGraph, config: SimConfig) -> Result<SimPlan<'a>, SimError> {
-        Self::build(tg, config, None, Telemetry::enabled())
-    }
-
-    /// The fully general constructor: a fault plan **and** a telemetry
-    /// gate.  `SimPlan::instrumented(tg, config, &FaultPlan::default(),
-    /// Telemetry::disabled())` is bit-identical to [`SimPlan::new`] —
-    /// the gated-hooks guarantee the differential tests pin.
-    ///
-    /// # Errors
-    ///
-    /// As [`SimPlan::with_faults`].
-    pub fn instrumented(
-        tg: &'a TaskGraph,
-        config: SimConfig,
-        faults: &FaultPlan,
-        telemetry: Telemetry,
-    ) -> Result<SimPlan<'a>, SimError> {
-        Self::build(tg, config, Some(faults), telemetry)
-    }
-
-    fn build(
-        tg: &'a TaskGraph,
-        config: SimConfig,
-        fault_plan: Option<&FaultPlan>,
-        telemetry: Telemetry,
-    ) -> Result<SimPlan<'a>, SimError> {
         let dag = tg.condensed().map_err(SimError::Analysis)?;
 
         // One shared tick denominator for every time in the run.
@@ -832,10 +785,8 @@ impl<'a> SimPlan<'a> {
             for &tid in dag.tasks() {
                 fold(tg.task(tid).response_time(), tg.task(tid).name())?;
             }
-            if let Some(faults) = fault_plan {
-                for value in faults.time_values() {
-                    fold(value, "fault")?;
-                }
+            for value in config.faults.time_values() {
+                fold(value, "fault")?;
             }
         }
         let to_ticks = |r: Rational, what: &str| -> Result<i128, SimError> {
@@ -914,9 +865,10 @@ impl<'a> SimPlan<'a> {
             .transpose()?;
         let immediate_free = config.release == ConstrainedRelease::Immediate;
         let wheel_hint = rho.iter().copied().max().unwrap_or(0).max(period);
-        let faults = match fault_plan {
-            Some(plan) if !plan.is_empty() => plan.compile(tg, &task_pos, &rho, tick_den)?,
-            _ => CompiledFaults::default(),
+        let faults = if config.faults.is_empty() {
+            CompiledFaults::default()
+        } else {
+            config.faults.compile(tg, &task_pos, &rho, tick_den)?
         };
 
         Ok(SimPlan {
@@ -942,7 +894,6 @@ impl<'a> SimPlan<'a> {
             buf_pos,
             wheel_hint,
             faults,
-            telemetry: telemetry.is_enabled(),
         })
     }
 
@@ -1028,9 +979,9 @@ impl<'a> SimPlan<'a> {
         quanta.validate(self.tg)?;
         // Span timing is gated like every other hook: a disabled plan
         // never reads the clock.
-        let reset_begin = self.telemetry.then(Instant::now);
+        let reset_begin = self.config.telemetry.then(Instant::now);
         state.reset(self, quanta, capacities)?;
-        let run_begin = self.telemetry.then(Instant::now);
+        let run_begin = self.config.telemetry.then(Instant::now);
         let mut exec = Exec {
             plan: self,
             st: state,
@@ -1113,7 +1064,7 @@ pub struct SimState {
     first_fault: Option<i128>,
     /// Last instant a fault perturbed the run, in ticks.
     last_fault: Option<i128>,
-    /// Telemetry counters; only touched when the plan enables telemetry.
+    /// Telemetry counters; only touched when the config enables telemetry.
     counters: EngineCounters,
     /// Occupancy samples `(buffer-state index, tick, occupancy)`; only
     /// filled for telemetry-enabled runs traced at [`TraceLevel::All`],
@@ -1293,7 +1244,7 @@ impl SimState {
                 // the fault-free fast path.
                 let release = offset + plan.release_delay(0);
                 let on_wheel = self.queue.push(self.now, release, self.seq, nt as u32);
-                if plan.telemetry {
+                if plan.config.telemetry {
                     if on_wheel {
                         self.counters.wheel_pushes += 1;
                     } else {
@@ -1325,7 +1276,7 @@ impl Exec<'_, '_> {
     fn push(&mut self, time: i128, node: u32) {
         self.st.seq += 1;
         let on_wheel = self.st.queue.push(self.st.now, time, self.st.seq, node);
-        if self.plan.telemetry {
+        if self.plan.config.telemetry {
             if on_wheel {
                 self.st.counters.wheel_pushes += 1;
             } else {
@@ -1372,7 +1323,7 @@ impl Exec<'_, '_> {
             let need = if fixed {
                 st.claimed_in[e]
             } else {
-                if plan.telemetry {
+                if plan.config.telemetry {
                     st.counters.policy_dispatches += 1;
                 }
                 let need = st.consumption[bi].draw(k);
@@ -1392,7 +1343,7 @@ impl Exec<'_, '_> {
             let need = if fixed {
                 st.claimed_out[e]
             } else {
-                if plan.telemetry {
+                if plan.config.telemetry {
                     st.counters.policy_dispatches += 1;
                 }
                 let need = st.production[bi].draw(k);
@@ -1418,7 +1369,7 @@ impl Exec<'_, '_> {
         let immediate_free = pos == plan.endpoint && plan.immediate_free;
         // Occupancy history is a trace-grade artifact: sampled only when
         // telemetry is on *and* the run keeps the full firing trace.
-        let sample = plan.telemetry && plan.config.trace == TraceLevel::All;
+        let sample = plan.config.telemetry && plan.config.trace == TraceLevel::All;
         let mut consumed = 0u64;
         let mut produced = 0u64;
         for e in plan.in_start[pos] as usize..plan.in_start[pos + 1] as usize {
@@ -1450,7 +1401,7 @@ impl Exec<'_, '_> {
             }
             produced += p;
         }
-        if plan.telemetry {
+        if plan.config.telemetry {
             self.st.counters.firings_started += 1;
         }
         let start = self.st.now;
@@ -1515,7 +1466,7 @@ impl Exec<'_, '_> {
         // is ever in flight), so its quanta still sit in the scratch —
         // a busy task never reaches the scratch writes in `startable`.
         let immediate_free = pos == plan.endpoint && plan.immediate_free;
-        let sample = plan.telemetry && plan.config.trace == TraceLevel::All;
+        let sample = plan.config.telemetry && plan.config.trace == TraceLevel::All;
         if !immediate_free {
             for e in plan.in_start[pos] as usize..plan.in_start[pos + 1] as usize {
                 let bi = plan.in_buf[e] as usize;
@@ -1538,7 +1489,7 @@ impl Exec<'_, '_> {
         }
         self.st.busy[pos] = false;
         self.st.finished[pos] += 1;
-        if plan.telemetry {
+        if plan.config.telemetry {
             self.st.counters.firings_finished += 1;
         }
         // The task itself is enabled again now that it is idle.
@@ -1558,7 +1509,7 @@ impl Exec<'_, '_> {
     /// positions at or behind the scan cursor — so this is exactly the
     /// reference's ascending-position re-scan, without a sort.
     fn try_starts(&mut self) {
-        let telemetry = self.plan.telemetry;
+        let telemetry = self.plan.config.telemetry;
         loop {
             let mut any_dirty = false;
             for w in 0..self.st.dirty.len() {
@@ -1605,7 +1556,7 @@ impl Exec<'_, '_> {
                 return;
             };
             self.st.events_processed += 1;
-            if self.plan.telemetry {
+            if self.plan.config.telemetry {
                 self.st.counters.events_popped += 1;
             }
             if node == release_node {
@@ -1794,7 +1745,7 @@ impl Exec<'_, '_> {
             faults_injected: self.st.faults_injected,
             first_fault_time: self.st.first_fault.map(|t| self.rational(t)),
             last_fault_time: self.st.last_fault.map(|t| self.rational(t)),
-            counters: plan.telemetry.then_some(self.st.counters),
+            counters: plan.config.telemetry.then_some(self.st.counters),
             occupancy,
             spans: None,
         }
@@ -1843,13 +1794,10 @@ impl<'a> Simulator<'a> {
     ///
     /// # Errors
     ///
-    /// * [`SimError::Analysis`] — the graph is not a valid DAG, or the
-    ///   constrained endpoint is ambiguous.
     /// * [`SimError::CapacityUnset`] — a buffer has no capacity.
     /// * [`SimError::QuantumNotInSet`] / [`SimError::EmptyCycle`] — the
     ///   plan draws values outside a buffer's quantum set.
-    /// * [`SimError::TickOverflow`] — the run's times cannot be rescaled
-    ///   to a shared integer tick clock within `u64` ticks.
+    /// * Everything [`SimPlan::new`] rejects.
     pub fn new(
         tg: &'a TaskGraph,
         plan: QuantumPlan,
@@ -1866,59 +1814,9 @@ impl<'a> Simulator<'a> {
         })
     }
 
-    /// Like [`Simulator::new`], but every run collects telemetry (see
-    /// [`SimPlan::with_telemetry`]): the report carries
-    /// [`EngineCounters`], phase spans, and — when the config traces at
-    /// [`TraceLevel::All`] — the occupancy samples the Perfetto exporter
-    /// renders.
-    ///
-    /// # Errors
-    ///
-    /// As [`Simulator::new`].
-    pub fn with_telemetry(
-        tg: &'a TaskGraph,
-        plan: QuantumPlan,
-        config: SimConfig,
-    ) -> Result<Simulator<'a>, SimError> {
-        let sim_plan = SimPlan::with_telemetry(tg, config)?;
-        plan.validate(tg)?;
-        sim_plan.require_capacities()?;
-        let state = sim_plan.state();
-        Ok(Simulator {
-            plan: sim_plan,
-            state,
-            quanta: plan,
-        })
-    }
-
-    /// Like [`Simulator::new`], but every run replays the given bounded
-    /// [`FaultPlan`] (see [`SimPlan::with_faults`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Simulator::new`], plus [`SimError::InvalidFault`] for
-    /// negative fault durations and [`SimError::Analysis`] for unknown
-    /// task names in the fault plan.
-    pub fn with_faults(
-        tg: &'a TaskGraph,
-        plan: QuantumPlan,
-        config: SimConfig,
-        faults: &FaultPlan,
-    ) -> Result<Simulator<'a>, SimError> {
-        let sim_plan = SimPlan::with_faults(tg, config, faults)?;
-        plan.validate(tg)?;
-        sim_plan.require_capacities()?;
-        let state = sim_plan.state();
-        Ok(Simulator {
-            plan: sim_plan,
-            state,
-            quanta: plan,
-        })
-    }
-
     /// Runs the simulation to completion and returns the report.
     pub fn run(mut self) -> SimReport {
-        // `new`/`with_faults` validated the plan and capacities.
+        // `new` validated the plan and capacities.
         #[allow(clippy::expect_used)]
         self.plan
             .run(&mut self.state, &self.quanta)

@@ -18,10 +18,11 @@
 //!   constrained endpoint (the *source* in source-constrained mode) are
 //!   issued late by a bounded, non-negative delay.
 //!
-//! A [`FaultPlan`] compiles onto the engine's integer tick clock at plan
-//! construction ([`crate::SimPlan::with_faults`]), so injection costs one
-//! branch per firing start; an **empty plan is bit-identical to the
-//! uninjected engine** (`tests/faults.rs` pins this differentially).
+//! A [`FaultPlan`] is run configuration ([`crate::SimConfig::faults`]):
+//! it compiles onto the engine's integer tick clock at plan construction
+//! ([`crate::SimPlan::new`]), so injection costs one branch per firing
+//! start.  The default plan is empty, and an empty plan compiles to the
+//! fault-free fast path.
 //!
 //! [`validate_capacities_under_faults`] replays the full scenario battery
 //! of [`crate::validate_capacities`] under a fault plan — with
@@ -99,8 +100,9 @@ pub struct ReleaseFault {
 }
 
 /// A bounded fault scenario: task stalls, drop-retries, and release
-/// jitter, all finite.  Compiled to tick-space perturbations when a
-/// [`crate::SimPlan`] is built ([`crate::SimPlan::with_faults`]).
+/// jitter, all finite.  Set it as [`crate::SimConfig::faults`]; it is
+/// compiled to tick-space perturbations when a [`crate::SimPlan`] is
+/// built.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Per-task fault windows.
@@ -110,8 +112,8 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// An empty plan — injects nothing and is bit-identical to the
-    /// uninjected engine.
+    /// An empty plan — injects nothing; the default
+    /// [`crate::SimConfig::faults`].
     pub fn new() -> FaultPlan {
         FaultPlan::default()
     }
@@ -548,8 +550,14 @@ fn run_fault_battery(
         stop_on_violation: false,
         ..opts.validation.clone()
     };
-    let mut runner =
-        ScenarioRunner::with_faults(sized, constraint, offset, release, &battery_opts, faults)?;
+    let mut runner = ScenarioRunner::build(
+        sized,
+        constraint,
+        offset,
+        release,
+        &battery_opts,
+        faults.clone(),
+    )?;
     let report = runner.validate(&[])?;
     let period = constraint.period();
     Ok(FaultValidationReport {

@@ -51,7 +51,9 @@ use std::time::{Duration, Instant};
 use vrdf_core::{compute_buffer_capacities, TaskGraph, ThroughputConstraint};
 
 use crate::search::{minimize_capacities, EdgeMinimum, SearchBudget, SearchOptions};
-use crate::validate::{effective_threads, validate_capacities, EngineKind, ValidationOptions};
+use crate::validate::{
+    effective_threads, panic_message, validate_capacities, EngineKind, ValidationOptions,
+};
 
 /// One graph of a fleet corpus: the application, its constraint, and a
 /// name for reports.
@@ -513,17 +515,6 @@ impl fmt::Display for FleetReport {
             writeln!(f, "  {:<14} {}", r.name, r.outcome)?;
         }
         Ok(())
-    }
-}
-
-/// Renders a caught panic payload (string payloads verbatim).
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
     }
 }
 

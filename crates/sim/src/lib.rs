@@ -38,9 +38,9 @@
 //!   worker count.
 //! * [`telemetry`] — zero-overhead observability: engine counters, phase
 //!   spans, latency histograms, and the Chrome-trace/Perfetto exporter.
-//!   Compiled in but gated exactly like [`faults`]; a
-//!   [`Telemetry::disabled()`] run is bit-identical and within noise of
-//!   the uninstrumented engine.
+//!   Faults and telemetry are both run configuration
+//!   ([`SimConfig::faults`], [`SimConfig::telemetry`]): the hooks are
+//!   compiled in, gated on one check each, and off by default.
 //!
 //! ## Quick start
 //!
@@ -98,7 +98,7 @@ pub use search::{
 };
 pub use telemetry::{
     perfetto_trace, EngineCounters, Histogram, MetricsSnapshot, OccupancySample, PhaseTimes,
-    SearchMetrics, Telemetry, ValidationMetrics,
+    SearchMetrics, ValidationMetrics,
 };
 pub use validate::{
     conservative_offset, effective_threads, measure_drift, validate_assigned_capacities,

@@ -108,12 +108,9 @@ pub struct ReferenceSimulator<'a> {
     last_start: Option<Rational>,
     max_drift: Option<Rational>,
     max_lateness: Option<Rational>,
-    /// Whether the run reports the coarse [`CoreCounters`] subset —
-    /// gated like the tick engine's telemetry, so the default stays
-    /// bit-identical to the pre-telemetry reference.
-    telemetry: bool,
-    /// Coarse activity counters, reported through the shared
-    /// [`CounterSink`] hook; only touched when `telemetry` is on.
+    /// Coarse activity counters (the [`CoreCounters`] subset of the tick
+    /// engine's), reported through the shared [`CounterSink`] hook; only
+    /// touched when [`SimConfig::telemetry`] is on.
     counters: CoreCounters,
 }
 
@@ -124,12 +121,19 @@ impl<'a> ReferenceSimulator<'a> {
     /// # Errors
     ///
     /// Same as [`Simulator::new`](crate::engine::Simulator::new), minus
-    /// [`SimError::TickOverflow`] — rational time never rescales.
+    /// [`SimError::TickOverflow`] — rational time never rescales — plus
+    /// [`SimError::InvalidFault`] for a non-empty [`SimConfig::faults`]:
+    /// fault injection is a tick-engine feature.
     pub fn new(
         tg: &'a TaskGraph,
         plan: QuantumPlan,
         config: SimConfig,
     ) -> Result<ReferenceSimulator<'a>, SimError> {
+        if !config.faults.is_empty() {
+            return Err(SimError::InvalidFault {
+                detail: "the reference engine does not inject faults".to_owned(),
+            });
+        }
         let dag = tg.condensed().map_err(SimError::Analysis)?;
         plan.validate(tg)?;
 
@@ -219,7 +223,6 @@ impl<'a> ReferenceSimulator<'a> {
             last_start: None,
             max_drift: None,
             max_lateness: None,
-            telemetry: false,
             counters: CoreCounters::default(),
         };
         if let EndpointBehavior::StrictlyPeriodic { offset } = sim.config.behavior {
@@ -228,14 +231,6 @@ impl<'a> ReferenceSimulator<'a> {
             }
         }
         Ok(sim)
-    }
-
-    /// Enables the coarse counter subset on this run, for differential
-    /// comparison against an instrumented tick-engine run.
-    #[must_use]
-    pub fn with_telemetry(mut self) -> Self {
-        self.telemetry = true;
-        self
     }
 
     fn push(&mut self, time: Rational, kind: EventKind) {
@@ -348,7 +343,7 @@ impl<'a> ReferenceSimulator<'a> {
             task.started += 1;
             task.busy_time += rho;
         }
-        if self.telemetry {
+        if self.config.telemetry {
             self.counters.on_firing_started();
         }
         self.push(finish, EventKind::Finish { task: pos });
@@ -409,7 +404,7 @@ impl<'a> ReferenceSimulator<'a> {
         let task = &mut self.tasks[pos];
         task.busy = false;
         task.finished += 1;
-        if self.telemetry {
+        if self.config.telemetry {
             self.counters.on_firing_finished();
         }
     }
@@ -428,7 +423,7 @@ impl<'a> ReferenceSimulator<'a> {
             if !progressed {
                 return any;
             }
-            if self.telemetry {
+            if self.config.telemetry {
                 self.counters.on_settling_pass();
             }
         }
@@ -448,7 +443,7 @@ impl<'a> ReferenceSimulator<'a> {
             #[allow(clippy::expect_used)]
             let event = self.heap.pop().expect("peeked");
             self.events_processed += 1;
-            if self.telemetry {
+            if self.config.telemetry {
                 self.counters.on_event_popped();
             }
             any = true;
@@ -536,7 +531,7 @@ impl<'a> ReferenceSimulator<'a> {
             // Coarse counters only: the reference has no wheel, no dirty
             // bitmap, and no compiled policies, so the engine-specific
             // fields stay zero.
-            counters: self.telemetry.then(|| EngineCounters {
+            counters: self.config.telemetry.then(|| EngineCounters {
                 events_popped: self.counters.events_popped,
                 firings_started: self.counters.firings_started,
                 firings_finished: self.counters.firings_finished,

@@ -64,7 +64,7 @@ use crate::engine::{
 use crate::faults::FaultPlan;
 use crate::policy::{QuantumPlan, QuantumPolicy};
 use crate::reference::ReferenceSimulator;
-use crate::telemetry::{Telemetry, ValidationMetrics};
+use crate::telemetry::ValidationMetrics;
 use crate::SimError;
 
 /// Tunables for [`validate_capacities`].
@@ -102,10 +102,8 @@ pub struct ValidationOptions {
     /// `None` (the default) injects nothing.
     pub chaos_panic_scenario: Option<String>,
     /// Collect engine counters, phase spans, and per-scenario wall times
-    /// into [`ValidationReport::metrics`].  Gated exactly like faults:
-    /// the hooks are always compiled in, and a disabled run is
-    /// bit-identical to an uninstrumented one (see
-    /// [`crate::telemetry::Telemetry`]).  `false` by default.
+    /// into [`ValidationReport::metrics`]; sets every scenario's
+    /// [`SimConfig::telemetry`].  `false` by default.
     pub telemetry: bool,
 }
 
@@ -536,7 +534,7 @@ pub struct ScenarioRunner<'a> {
     offset: Rational,
     wall_clock: Option<Duration>,
     chaos_panic_scenario: Option<String>,
-    telemetry: Telemetry,
+    telemetry: bool,
     plan_build: Duration,
 }
 
@@ -574,7 +572,7 @@ fn past(deadline: Option<Instant>) -> bool {
 }
 
 /// Renders a caught panic payload.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -631,13 +629,7 @@ fn run_reference_scenario(
         if chaos == Some(name) {
             panic!("deliberate chaos panic before scenario `{name}`");
         }
-        ReferenceSimulator::new(tg, quanta.clone(), config.clone()).map(|sim| {
-            if timed {
-                sim.with_telemetry().run()
-            } else {
-                sim.run()
-            }
-        })
+        ReferenceSimulator::new(tg, quanta.clone(), config.clone()).map(ReferenceSimulator::run)
     }));
     match result {
         Ok(Ok(report)) => RunOutcome::Done(
@@ -675,25 +667,20 @@ impl<'a> ScenarioRunner<'a> {
         release: ConstrainedRelease,
         opts: &ValidationOptions,
     ) -> Result<ScenarioRunner<'a>, SimError> {
-        Self::with_faults(tg, constraint, offset, release, opts, &FaultPlan::default())
+        Self::build(tg, constraint, offset, release, opts, FaultPlan::new())
     }
 
-    /// Like [`ScenarioRunner::new`], but every scenario replays the given
-    /// bounded [`FaultPlan`] (see [`SimPlan::with_faults`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`ScenarioRunner::new`], plus [`SimError::InvalidFault`] for a
-    /// malformed fault plan.  Fault injection needs the tick engine, so a
-    /// tick overflow with a non-empty fault plan is an error rather than
-    /// a silent fault-free reference fallback.
-    pub fn with_faults(
+    /// [`ScenarioRunner::new`] with every scenario replaying `faults`
+    /// (the fault battery's entry).  Fault injection needs the tick
+    /// engine, so a tick overflow with a non-empty fault plan is an error
+    /// rather than a silent fault-free reference fallback.
+    pub(crate) fn build(
         tg: &'a TaskGraph,
         constraint: ThroughputConstraint,
         offset: Rational,
         release: ConstrainedRelease,
         opts: &ValidationOptions,
-        faults: &FaultPlan,
+        faults: FaultPlan,
     ) -> Result<ScenarioRunner<'a>, SimError> {
         let mut config = SimConfig::periodic(constraint, offset);
         config.release = release;
@@ -701,20 +688,17 @@ impl<'a> ScenarioRunner<'a> {
         config.max_events = opts.max_events;
         config.stop_on_violation = opts.stop_on_violation;
         config.trace = TraceLevel::None;
-        let telemetry = if opts.telemetry {
-            Telemetry::enabled()
-        } else {
-            Telemetry::disabled()
-        };
+        config.faults = faults;
+        config.telemetry = opts.telemetry;
         let scenarios = scenario_plans(tg, opts);
         let threads = effective_threads(opts.threads, scenarios.len());
-        let build_begin = telemetry.is_enabled().then(Instant::now);
-        let engine = match SimPlan::instrumented(tg, config.clone(), faults, telemetry) {
+        let build_begin = opts.telemetry.then(Instant::now);
+        let engine = match SimPlan::new(tg, config.clone()) {
             Ok(plan) => {
                 let states = (0..threads).map(|_| plan.state()).collect();
                 RunnerEngine::Tick { plan, states }
             }
-            Err(SimError::TickOverflow { .. }) if faults.is_empty() => {
+            Err(SimError::TickOverflow { .. }) if config.faults.is_empty() => {
                 RunnerEngine::Reference { tg, config }
             }
             Err(e) => return Err(e),
@@ -726,7 +710,7 @@ impl<'a> ScenarioRunner<'a> {
             offset,
             wall_clock: opts.wall_clock,
             chaos_panic_scenario: opts.chaos_panic_scenario.clone(),
-            telemetry,
+            telemetry: opts.telemetry,
             plan_build: build_begin.map_or(Duration::ZERO, |b| b.elapsed()),
         })
     }
@@ -775,7 +759,7 @@ impl<'a> ScenarioRunner<'a> {
         let deadline = self.wall_clock.map(|budget| Instant::now() + budget);
         let chaos = self.chaos_panic_scenario.as_deref();
         let threads = self.threads;
-        let timed = self.telemetry.is_enabled();
+        let timed = self.telemetry;
         let engine = match &self.engine {
             RunnerEngine::Tick { .. } => EngineKind::Tick,
             RunnerEngine::Reference { .. } => EngineKind::Reference,

@@ -1,9 +1,11 @@
 //! Acceptance tests for the bounded fault-injection layer:
 //!
-//! 1. **Zero-fault bit-identity** — a plan built with an empty
-//!    [`FaultPlan`] must be observably identical to the uninjected tick
-//!    engine (traces, violations, outcomes, statistics, event counts) on
-//!    the MP3 chain and seeded random chain/DAG corpora.
+//! 1. **Zero-fault bit-identity** — a non-empty [`FaultPlan`] that
+//!    strikes nothing (zero deltas, zero retries, zero-length windows,
+//!    windows past the horizon) runs the engine's fault path yet must be
+//!    observably identical to the default, fault-free run (traces,
+//!    violations, outcomes, statistics, event counts) on the MP3 chain
+//!    and seeded random chain/DAG corpora.
 //! 2. **Recovery pinning** — the Eq. (4) MP3 capacities absorb an
 //!    upstream stall bounded by the provisioned buffer slack (strict
 //!    periodicity never breaks), a stall past that slack misses and —
@@ -24,56 +26,39 @@ use vrdf_core::{
 use vrdf_sim::{
     conservative_offset, minimize_capacities, validate_assigned_capacities_under_faults,
     validate_capacities, validate_capacities_under_faults, EngineKind, FaultPlan,
-    FaultValidationOptions, QuantumPlan, QuantumPolicy, RecoveryVerdict, SearchBudget,
-    SearchOptions, SimConfig, SimError, SimReport, Simulator, TraceLevel, ValidationOptions,
+    FaultValidationOptions, QuantumPlan, QuantumPolicy, RecoveryVerdict, ReferenceSimulator,
+    SearchBudget, SearchOptions, SimConfig, SimError, Simulator, TraceLevel, ValidationOptions,
 };
 
-/// Asserts two reports are bit-identical in every observable field.
-fn assert_identical(injected: &SimReport, plain: &SimReport, context: &str) {
-    assert_eq!(injected.outcome, plain.outcome, "{context}: outcome");
-    assert_eq!(
-        injected.violations, plain.violations,
-        "{context}: violations"
-    );
-    assert_eq!(injected.trace, plain.trace, "{context}: firing trace");
-    assert_eq!(
-        injected.events_processed, plain.events_processed,
-        "{context}: event count"
-    );
-    assert_eq!(injected.end_time, plain.end_time, "{context}: end time");
-    assert_eq!(injected.endpoint.firings, plain.endpoint.firings);
-    assert_eq!(injected.endpoint.first_start, plain.endpoint.first_start);
-    assert_eq!(injected.endpoint.last_start, plain.endpoint.last_start);
-    assert_eq!(injected.endpoint.max_drift, plain.endpoint.max_drift);
-    assert_eq!(injected.endpoint.max_lateness, plain.endpoint.max_lateness);
-    for (i, p) in injected.buffers.iter().zip(&plain.buffers) {
-        assert_eq!(i.capacity, p.capacity);
-        assert_eq!(i.max_occupancy, p.max_occupancy, "{context}: {}", i.name);
-        assert_eq!(i.produced, p.produced);
-        assert_eq!(i.consumed, p.consumed);
+mod common;
+use common::assert_identical;
+
+/// A plan with a window of every shape on every task that perturbs
+/// nothing: each compiles to a live window, so the engine takes its fault
+/// path, but no firing or release is ever delayed.
+fn zero_fault_plan(tg: &TaskGraph) -> FaultPlan {
+    let mut plan = FaultPlan::new()
+        .delay_releases(0, u64::MAX, Rational::ZERO)
+        .delay_releases(u64::MAX - 1, 1, rat(1, 1))
+        .delay_releases(0, 0, rat(1, 1));
+    for (_, task) in tg.tasks() {
+        plan = plan
+            .stall(task.name(), 0, u64::MAX, Rational::ZERO)
+            .drop_retry(task.name(), 0, u64::MAX, 0)
+            .stall(task.name(), u64::MAX - 1, 1, rat(1, 1))
+            .stall(task.name(), 0, 0, rat(1, 1));
     }
-    for (i, p) in injected.tasks.iter().zip(&plain.tasks) {
-        assert_eq!(i.firings, p.firings);
-        assert_eq!(i.busy_time, p.busy_time, "{context}: {}", i.name);
-    }
-    assert_eq!(injected.faults_injected, 0, "{context}: no faults injected");
-    assert_eq!(
-        injected.first_fault_time, None,
-        "{context}: no fault instant"
-    );
-    assert_eq!(
-        injected.last_fault_time, None,
-        "{context}: no fault instant"
-    );
+    plan
 }
 
-/// Runs one graph through both constructors and cross-checks them.
+/// Runs one graph with and without the zero-fault plan and cross-checks
+/// the two reports.
 fn run_both_ways(tg: &TaskGraph, constraint: ThroughputConstraint, context: &str) {
     let analysis = compute_buffer_capacities(tg, constraint).expect("analysable graph");
     let mut sized = tg.clone();
     analysis.apply(&mut sized);
     let offset = conservative_offset(tg, &analysis).expect("offset fits");
-    let empty = FaultPlan::new();
+    let zero = zero_fault_plan(tg);
     for (scenario, quanta) in [
         ("max", QuantumPlan::uniform(QuantumPolicy::Max)),
         ("min", QuantumPlan::uniform(QuantumPolicy::Min)),
@@ -87,11 +72,12 @@ fn run_both_ways(tg: &TaskGraph, constraint: ThroughputConstraint, context: &str
             };
             config.max_endpoint_firings = 400;
             config.trace = TraceLevel::All;
-            let injected = Simulator::with_faults(&sized, quanta.clone(), config.clone(), &empty)
-                .expect("fault-free construction")
-                .run();
-            let plain = Simulator::new(&sized, quanta.clone(), config)
+            let plain = Simulator::new(&sized, quanta.clone(), config.clone())
                 .expect("plain construction")
+                .run();
+            config.faults = zero.clone();
+            let injected = Simulator::new(&sized, quanta.clone(), config)
+                .expect("zero-fault construction")
                 .run();
             assert_identical(
                 &injected,
@@ -356,6 +342,25 @@ fn malformed_fault_plans_are_typed_errors() {
             assert!(detail.contains("non-negative"), "{detail}")
         }
         other => panic!("negative delta must be InvalidFault, got {other:?}"),
+    }
+}
+
+#[test]
+fn reference_engine_rejects_fault_plans() {
+    // Fault injection is a tick-engine feature: the rational-time
+    // reference refuses a non-empty plan instead of ignoring it.
+    let tg = mp3_chain();
+    let sized = compute_buffer_capacities(&tg, mp3_constraint())
+        .expect("MP3 analyses")
+        .with_capacities(&tg, &[]);
+    let mut config = SimConfig::self_timed(mp3_constraint());
+    config.faults = bounded_stall();
+    let quanta = QuantumPlan::uniform(QuantumPolicy::Max);
+    assert!(Simulator::new(&sized, quanta.clone(), config.clone()).is_ok());
+    match ReferenceSimulator::new(&sized, quanta, config) {
+        Err(SimError::InvalidFault { detail }) => assert!(detail.contains("reference"), "{detail}"),
+        Err(e) => panic!("a fault plan must be InvalidFault on the reference, got {e}"),
+        Ok(_) => panic!("the reference engine must not silently drop faults"),
     }
 }
 

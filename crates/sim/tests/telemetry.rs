@@ -1,14 +1,13 @@
-//! Acceptance tests for the zero-overhead telemetry layer:
+//! The passivity suite of the engine's two runtime hooks, faults and
+//! telemetry (both [`SimConfig`] fields, off by default):
 //!
-//! 1. **Disabled bit-identity** — a plan built with
-//!    [`Telemetry::disabled()`] must be observably identical to the
-//!    uninstrumented tick engine (traces, violations, outcomes,
-//!    statistics, event counts) on the MP3 chain and seeded random
-//!    chain/DAG/cyclic corpora, mirroring the fault layer's zero-fault
-//!    differential in `tests/faults.rs`.
+//! 1. **Hooks off** — a default-config run carries no hook data: no
+//!    fault struck, no counters, spans, or occupancy samples.  This
+//!    runs on the MP3 chain and seeded random chain/DAG/cyclic corpora.
 //! 2. **Enabled passivity** — an instrumented run may add counters,
 //!    spans, and occupancy samples, but never changes the simulation
-//!    itself: every compared field equals the plain run, and the
+//!    itself: every compared field (traces, violations, outcomes,
+//!    statistics, event counts) equals the default run, and the
 //!    counters tie out against the report exactly.
 //! 3. **Battery passivity** — [`validate_capacities`] with telemetry on
 //!    reaches the same verdict, violations, and event counts as with it
@@ -21,41 +20,16 @@ use vrdf_apps::synthetic::{random_chain_of_length, random_dag, ChainSpec, DagSpe
 use vrdf_apps::{mp3_chain, mp3_constraint};
 use vrdf_core::{compute_buffer_capacities, TaskGraph, ThroughputConstraint};
 use vrdf_sim::{
-    conservative_offset, perfetto_trace, validate_capacities, FaultPlan, QuantumPlan,
-    QuantumPolicy, SimConfig, SimPlan, SimReport, Simulator, Telemetry, TraceLevel,
-    ValidationOptions,
+    conservative_offset, perfetto_trace, validate_capacities, QuantumPlan, QuantumPolicy,
+    SimConfig, SimReport, Simulator, TraceLevel, ValidationOptions,
 };
 
-/// Asserts two reports are bit-identical in every observable field.
-fn assert_identical(gated: &SimReport, plain: &SimReport, context: &str) {
-    assert_eq!(gated.outcome, plain.outcome, "{context}: outcome");
-    assert_eq!(gated.violations, plain.violations, "{context}: violations");
-    assert_eq!(gated.trace, plain.trace, "{context}: firing trace");
-    assert_eq!(
-        gated.events_processed, plain.events_processed,
-        "{context}: event count"
-    );
-    assert_eq!(gated.end_time, plain.end_time, "{context}: end time");
-    assert_eq!(gated.endpoint.firings, plain.endpoint.firings);
-    assert_eq!(gated.endpoint.first_start, plain.endpoint.first_start);
-    assert_eq!(gated.endpoint.last_start, plain.endpoint.last_start);
-    assert_eq!(gated.endpoint.max_drift, plain.endpoint.max_drift);
-    assert_eq!(gated.endpoint.max_lateness, plain.endpoint.max_lateness);
-    for (g, p) in gated.buffers.iter().zip(&plain.buffers) {
-        assert_eq!(g.capacity, p.capacity);
-        assert_eq!(g.max_occupancy, p.max_occupancy, "{context}: {}", g.name);
-        assert_eq!(g.produced, p.produced);
-        assert_eq!(g.consumed, p.consumed);
-    }
-    for (g, p) in gated.tasks.iter().zip(&plain.tasks) {
-        assert_eq!(g.firings, p.firings);
-        assert_eq!(g.busy_time, p.busy_time, "{context}: {}", g.name);
-    }
-}
+mod common;
+use common::assert_identical;
 
-/// Runs one scenario three ways — plain, disabled-telemetry, enabled —
-/// and cross-checks them.
-fn run_three_ways(tg: &TaskGraph, constraint: ThroughputConstraint, context: &str) {
+/// Runs each scenario twice — default config, telemetry on — and
+/// cross-checks them.
+fn run_both_ways(tg: &TaskGraph, constraint: ThroughputConstraint, context: &str) {
     let analysis = compute_buffer_capacities(tg, constraint).expect("analysable graph");
     let mut sized = tg.clone();
     analysis.apply(&mut sized);
@@ -78,29 +52,16 @@ fn run_three_ways(tg: &TaskGraph, constraint: ThroughputConstraint, context: &st
             let plain = Simulator::new(&sized, quanta.clone(), config.clone())
                 .expect("plain construction")
                 .run();
-            // Disabled telemetry through the fully general constructor —
-            // the exact code path the engine takes today.
-            let gated_plan = SimPlan::instrumented(
-                &sized,
-                config.clone(),
-                &FaultPlan::new(),
-                Telemetry::disabled(),
-            )
-            .expect("gated construction");
-            let mut state = gated_plan.state();
-            let gated = gated_plan
-                .run(&mut state, &quanta)
-                .expect("gated run executes");
-            assert_identical(&gated, &plain, &context);
-            assert!(gated.counters.is_none(), "{context}: counters stay off");
-            assert!(gated.spans.is_none(), "{context}: spans stay off");
+            assert!(plain.counters.is_none(), "{context}: counters stay off");
+            assert!(plain.spans.is_none(), "{context}: spans stay off");
             assert!(
-                gated.occupancy.is_empty(),
+                plain.occupancy.is_empty(),
                 "{context}: no occupancy samples"
             );
 
             // Enabled telemetry is passive: same simulation, plus data.
-            let instrumented = Simulator::with_telemetry(&sized, quanta.clone(), config)
+            config.telemetry = true;
+            let instrumented = Simulator::new(&sized, quanta.clone(), config)
                 .expect("instrumented construction")
                 .run();
             assert_identical(&instrumented, &plain, &context);
@@ -121,7 +82,7 @@ fn run_three_ways(tg: &TaskGraph, constraint: ThroughputConstraint, context: &st
 
 #[test]
 fn disabled_telemetry_is_bit_identical_on_mp3() {
-    run_three_ways(&mp3_chain(), mp3_constraint(), "mp3");
+    run_both_ways(&mp3_chain(), mp3_constraint(), "mp3");
 }
 
 #[test]
@@ -136,11 +97,11 @@ fn disabled_telemetry_is_bit_identical_on_random_corpora() {
             },
         )
         .expect("valid random chain");
-        run_three_ways(&tg, constraint, &format!("chain-{seed}"));
+        run_both_ways(&tg, constraint, &format!("chain-{seed}"));
     }
     for seed in [5, 23] {
         let (tg, constraint) = random_dag(seed, &DagSpec::default()).expect("valid random DAG");
-        run_three_ways(&tg, constraint, &format!("dag-{seed}"));
+        run_both_ways(&tg, constraint, &format!("dag-{seed}"));
     }
     for seed in [7, 11] {
         let (tg, constraint) = random_dag(
@@ -151,7 +112,7 @@ fn disabled_telemetry_is_bit_identical_on_random_corpora() {
             },
         )
         .expect("valid random cyclic graph");
-        run_three_ways(&tg, constraint, &format!("cyclic-{seed}"));
+        run_both_ways(&tg, constraint, &format!("cyclic-{seed}"));
     }
 }
 
@@ -225,7 +186,8 @@ fn golden_run() -> SimReport {
     let mut config = SimConfig::periodic(constraint, offset);
     config.max_endpoint_firings = 25;
     config.trace = TraceLevel::All;
-    Simulator::with_telemetry(&sized, QuantumPlan::uniform(QuantumPolicy::Max), config)
+    config.telemetry = true;
+    Simulator::new(&sized, QuantumPlan::uniform(QuantumPolicy::Max), config)
         .expect("instrumented construction")
         .run()
 }
