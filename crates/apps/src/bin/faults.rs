@@ -109,8 +109,11 @@ fn main() {
 
     // A recovery verdict against a baseline that misses without any
     // fault would be meaningless, so pin the zero-fault battery first.
-    let baseline = validate_capacities(&study.graph, &analysis, &opts.validation)
-        .expect("the battery constructs");
+    let baseline =
+        validate_capacities(&study.graph, &analysis, &opts.validation).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        });
     if !baseline.all_clear() {
         eprintln!("error: the zero-fault Eq. (4) baseline failed validation:");
         eprint!("{baseline}");

@@ -123,8 +123,10 @@ fn main() {
          ({} endpoint firings per scenario)",
         study.label, opts.validation.endpoint_firings
     );
-    let report =
-        minimize_capacities(&study.graph, &analysis, &opts).expect("the search constructs");
+    let report = minimize_capacities(&study.graph, &analysis, &opts).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    });
     print!("{report}");
     println!(
         "battery health: {} occupancy breaches, {} scenarios skipped (wall clock)",

@@ -190,7 +190,7 @@ pub fn mp3_feedback() -> TaskGraph {
 /// A bundled case study resolved by name: the graph, its throughput
 /// constraint, and the strings the drivers print.
 ///
-/// One registry serves every driver (`minimize`, `baseline`, benches),
+/// One registry serves every driver (`minimize`, `baseline`, `faults`),
 /// so graph names, labels, and usage strings cannot drift between them.
 #[derive(Clone, Debug)]
 pub struct CaseStudy {
@@ -670,7 +670,7 @@ pub mod synthetic {
     }
 
     /// Like [`random_dag`] but with an exact fork width and branch depth
-    /// — the knobs the `dag_scaling` benchmark sweeps.  Deterministic in
+    /// — the knobs a size sweep varies.  Deterministic in
     /// `(seed, width, depth)`.
     ///
     /// # Errors
@@ -910,7 +910,7 @@ pub fn print_fleet_metrics(report: &vrdf_sim::FleetReport) {
     }
 }
 
-/// A mixed synthetic corpus for the fleet drivers and benches: random
+/// A mixed synthetic corpus for the fleet drivers and perfbench: random
 /// chains, fixed-shape fork/joins, random DAGs, and cyclic
 /// (feedback-edge) graphs in round-robin order, every member generated
 /// on a bounded response-time grid so the tick engine accepts it.
@@ -998,6 +998,18 @@ mod tests {
             compute_buffer_capacities(&item.graph, item.constraint)
                 .unwrap_or_else(|e| panic!("{} infeasible: {e}", item.name));
         }
+        // The first 64 members of the seed-1 corpus validate clean at
+        // 1 500 endpoint firings.
+        let fleet = vrdf_sim::FleetOptions {
+            validation: vrdf_sim::ValidationOptions {
+                endpoint_firings: 1_500,
+                random_runs: 2,
+                ..vrdf_sim::ValidationOptions::default()
+            },
+            ..vrdf_sim::FleetOptions::default()
+        };
+        let report = vrdf_sim::run_fleet(&fleet_corpus(1, 64).unwrap(), &fleet);
+        assert!(report.all_ok(), "{report}");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! the reverse edge (Eq. 3), which Eq. 4 converts into initial tokens.
 //!
 //! [`ExistenceSchedule`] materialises the witness schedules of Figs. 3–4
-//! so that tests (and the figure-regenerating benches) can check
+//! so that tests (and the `tables` driver) can check
 //! conservativeness for arbitrary quantum sequences.
 
 use crate::rational::Rational;

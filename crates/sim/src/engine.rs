@@ -36,9 +36,8 @@
 //! the report boundary, where ticks convert back to [`Rational`].  The
 //! rescaling is exact, so the tick engine is observably identical to the
 //! rational-time reference ([`crate::reference::ReferenceSimulator`]);
-//! `tests/differential.rs` enforces this and `benches/mp3_simulation`
-//! measures the speedup.  A time base too fine to rescale (a converted
-//! quantity past `u64::MAX` ticks) is rejected with
+//! `tests/differential.rs` enforces this.  A time base too fine to
+//! rescale (a converted quantity past `u64::MAX` ticks) is rejected with
 //! [`SimError::TickOverflow`] instead of wrapping.
 //!
 //! # The flat-arena core: [`SimPlan`] and [`SimState`]
@@ -71,8 +70,7 @@
 //! topological order, so sweeping the sorted worklist and deferring
 //! newly-dirtied tasks to the next sweep reproduces the reference
 //! engine's position-order semantics exactly.)  This is what keeps
-//! events/second flat as graphs grow — the regression the committed
-//! `chain_scaling`/`dag_scaling` results showed before this layout.
+//! events/second flat as graphs grow.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

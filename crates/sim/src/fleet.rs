@@ -40,7 +40,7 @@
 //! minimization) — the dominant reuse win.  Plans are index-sized to one
 //! graph's shape, so heterogeneous corpora rebuild the plan per graph;
 //! that build is a few microseconds against millisecond-scale batteries
-//! (see the `sim_construction` bench).
+//! (perfbench's `engine.plan_build_s` measures it).
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -332,9 +332,8 @@ pub struct FleetResult {
 }
 
 /// The headline numbers of a fleet run, computed once by
-/// [`FleetReport::summary`] so the `fleet` binary and the
-/// `fleet_scaling` bench read the same arithmetic instead of each
-/// re-deriving it.
+/// [`FleetReport::summary`] so every driver that prints them reads the
+/// same arithmetic instead of re-deriving it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FleetSummary {
     /// Corpus size (completed + skipped).

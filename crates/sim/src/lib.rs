@@ -161,6 +161,10 @@ pub enum SimError {
         /// The over-filled buffer.
         buffer: String,
     },
+    /// A scenario battery was asked for zero endpoint firings
+    /// ([`ValidationOptions::endpoint_firings`]): no release would be
+    /// scheduled, so every scenario would pass without checking anything.
+    ZeroHorizon,
 }
 
 impl fmt::Display for SimError {
@@ -194,6 +198,10 @@ impl fmt::Display for SimError {
             SimError::InitialTokensExceedCapacity { buffer } => {
                 write!(f, "initial tokens of buffer `{buffer}` exceed its capacity")
             }
+            SimError::ZeroHorizon => write!(
+                f,
+                "the validation horizon is zero endpoint firings, so no scenario would check anything"
+            ),
         }
     }
 }

@@ -5,9 +5,7 @@
 //! addition pays i128 gcd reduction.  The production [`Simulator`] runs
 //! the same operational semantics on an integer tick clock instead; this
 //! module exists so the tick engine can be differentially tested against
-//! the original semantics (same traces, same violations, same outcome)
-//! and so the speedup can be *measured* rather than claimed
-//! (`benches/mp3_simulation`).
+//! the original semantics (same traces, same violations, same outcome).
 //!
 //! [`Simulator`]: crate::engine::Simulator
 

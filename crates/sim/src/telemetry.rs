@@ -7,8 +7,8 @@
 //! default).  A disabled run executes not a single counter increment or
 //! clock read in the hot loop; `tests/telemetry.rs` pins that an enabled
 //! run only adds data, never changes the simulation, on the MP3 chain
-//! and the random chain/DAG/cyclic corpora, and the `telemetry_overhead`
-//! bench pins that the gate itself is within noise of free.
+//! and the random chain/DAG/cyclic corpora, and the `hook_overhead`
+//! bench gates that the switch itself is within noise of free.
 //!
 //! The layer has four pieces:
 //!

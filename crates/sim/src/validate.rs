@@ -70,7 +70,8 @@ use crate::SimError;
 /// Tunables for [`validate_capacities`].
 #[derive(Clone, Debug)]
 pub struct ValidationOptions {
-    /// Periodic endpoint firings to check per scenario.
+    /// Periodic endpoint firings to check per scenario; zero is refused
+    /// with [`SimError::ZeroHorizon`].
     pub endpoint_firings: u64,
     /// Number of seeded-random scenarios.
     pub random_runs: u32,
@@ -430,7 +431,8 @@ fn scenario_plans(tg: &TaskGraph, opts: &ValidationOptions) -> Vec<(String, Quan
 ///
 /// # Errors
 ///
-/// Propagates [`SimError`] from simulator construction; scenario
+/// Propagates [`SimError`] from simulator construction, including
+/// [`SimError::ZeroHorizon`] for a zero `endpoint_firings`; scenario
 /// violations are reported in the [`ValidationReport`], not as errors.
 ///
 /// # Examples
@@ -658,8 +660,9 @@ impl<'a> ScenarioRunner<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates [`SimError`] from plan construction (invalid DAG,
-    /// ambiguous endpoint).
+    /// [`SimError::ZeroHorizon`] when `opts.endpoint_firings` is zero;
+    /// otherwise propagates [`SimError`] from plan construction (invalid
+    /// DAG, ambiguous endpoint).
     pub fn new(
         tg: &'a TaskGraph,
         constraint: ThroughputConstraint,
@@ -682,6 +685,9 @@ impl<'a> ScenarioRunner<'a> {
         opts: &ValidationOptions,
         faults: FaultPlan,
     ) -> Result<ScenarioRunner<'a>, SimError> {
+        if opts.endpoint_firings == 0 {
+            return Err(SimError::ZeroHorizon);
+        }
         let mut config = SimConfig::periodic(constraint, offset);
         config.release = release;
         config.max_endpoint_firings = opts.endpoint_firings;

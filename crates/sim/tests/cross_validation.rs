@@ -10,12 +10,12 @@
 //! 3. Property-style: over randomized feasible chains, the computed
 //!    capacities are always sufficient in simulation.
 
-use vrdf_apps::synthetic::{random_chain, ChainSpec};
+use vrdf_apps::synthetic::{random_chain, random_chain_of_length, ChainSpec};
 use vrdf_apps::{mp3_chain, mp3_constraint, mp3_feedback, MP3_PUBLISHED_CAPACITIES};
 use vrdf_core::{compute_buffer_capacities, Rational};
 use vrdf_sim::{
     conservative_offset, measure_drift, validate_assigned_capacities, validate_capacities,
-    QuantumPlan, ValidationOptions,
+    QuantumPlan, QuantumPolicy, ValidationOptions,
 };
 
 fn quick_options(endpoint_firings: u64) -> ValidationOptions {
@@ -33,7 +33,11 @@ fn mp3_chain_sustains_periodicity_at_published_capacities() {
     let caps: Vec<u64> = analysis.capacities().iter().map(|c| c.capacity).collect();
     assert_eq!(caps, MP3_PUBLISHED_CAPACITIES);
 
-    let report = validate_capacities(&tg, &analysis, &quick_options(20_000)).unwrap();
+    let opts = ValidationOptions {
+        random_runs: 5,
+        ..quick_options(20_000)
+    };
+    let report = validate_capacities(&tg, &analysis, &opts).unwrap();
     assert!(report.all_clear(), "{report}");
     // Every scenario really drove the DAC through its full quota.
     for scenario in &report.scenarios {
@@ -202,13 +206,19 @@ fn mp3_self_timed_drift_stays_under_conservative_offset() {
     let offset = conservative_offset(&tg, &analysis).expect("offset fits");
     let mut sized = tg.clone();
     analysis.apply(&mut sized);
-    let drift = measure_drift(&sized, mp3_constraint(), QuantumPlan::random(99), 20_000)
-        .unwrap()
-        .expect("self-timed MP3 run completes");
-    assert!(
-        drift <= offset,
-        "drift {drift} exceeds the conservative offset {offset}"
-    );
+    // Seeded random quanta, and one second of audio at the maxima.
+    for (plan, firings) in [
+        (QuantumPlan::random(99), 20_000),
+        (QuantumPlan::uniform(QuantumPolicy::Max), 44_100),
+    ] {
+        let drift = measure_drift(&sized, mp3_constraint(), plan, firings)
+            .unwrap()
+            .expect("self-timed MP3 run completes");
+        assert!(
+            drift <= offset,
+            "drift {drift} exceeds the conservative offset {offset}"
+        );
+    }
 }
 
 #[test]
@@ -222,6 +232,18 @@ fn random_chains_computed_capacities_are_sufficient_in_simulation() {
             report.all_clear(),
             "seed {seed}: computed capacities insufficient in simulation\n{report}"
         );
+    }
+    // Seed-42 chains of 4 to 64 tasks on the 1/1024 response-time grid;
+    // the 64-task one is a workload of the hook-overhead bench.
+    let gridded = ChainSpec {
+        rho_grid_subdivision: Some(1024),
+        ..ChainSpec::default()
+    };
+    for len in [4, 8, 16, 32, 64] {
+        let (tg, constraint) = random_chain_of_length(42, len, &gridded).unwrap();
+        let analysis = compute_buffer_capacities(&tg, constraint).unwrap();
+        let report = validate_capacities(&tg, &analysis, &quick_options(2_000)).unwrap();
+        assert!(report.all_clear(), "seed 42, {len} tasks\n{report}");
     }
 }
 

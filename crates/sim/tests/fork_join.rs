@@ -4,7 +4,8 @@
 //! * The stereo MP3 fork/join case study's per-edge Eq. (4) capacities
 //!   must survive the full scenario battery with the DAC strictly
 //!   periodic, and `minimize_capacities` must converge on the DAG.
-//! * A corpus of random balanced fork/join graphs must validate clean.
+//! * A corpus of random balanced fork/join graphs, plus seed-42 fixed
+//!   shapes and feedback loops, must validate clean.
 //! * The boundary of the guarantee is pinned by falsification:
 //!   *independently* variable consumption quanta on fork-coupled edges
 //!   admit admissible scenarios that starve a sibling branch through the
@@ -12,7 +13,7 @@
 //!   reason the paper states the per-pair result for chains, made
 //!   executable.
 
-use vrdf_apps::synthetic::{random_dag, DagSpec};
+use vrdf_apps::synthetic::{fork_join_of, random_dag, DagSpec};
 use vrdf_apps::{mp3_constraint, mp3_fork_join};
 use vrdf_core::{compute_buffer_capacities, QuantumSet, Rational, TaskGraph, ThroughputConstraint};
 use vrdf_sim::{
@@ -132,6 +133,40 @@ fn random_fork_join_corpus_validates_clean() {
         forked >= 10,
         "corpus barely exercised true forks ({forked} of 24)"
     );
+    // Seed-42 fixed shapes on the 1/1024 response-time grid: fork width
+    // x branch depth, and width-1 loops closed by a feedback edge with
+    // 0, 8 or 64 containers of initial-token headroom.
+    let gridded = DagSpec {
+        rho_grid_subdivision: Some(1024),
+        ..DagSpec::default()
+    };
+    let forks = [
+        (2, 2),
+        (2, 8),
+        (2, 32),
+        (8, 2),
+        (8, 8),
+        (8, 32),
+        (32, 2),
+        (32, 8),
+    ]
+    .map(|(width, depth)| (width, depth, None));
+    let loops = [2, 8, 32]
+        .into_iter()
+        .flat_map(|depth| [0, 8, 64].map(|headroom| (1, depth, Some(headroom))));
+    for (width, depth, feedback_headroom) in forks.into_iter().chain(loops) {
+        let spec = DagSpec {
+            feedback_headroom,
+            ..gridded.clone()
+        };
+        let (tg, constraint) = fork_join_of(42, width, depth, &spec).unwrap();
+        let analysis = compute_buffer_capacities(&tg, constraint).unwrap();
+        let report = validate_capacities(&tg, &analysis, &quick_validation(2_000)).unwrap();
+        assert!(
+            report.all_clear(),
+            "w{width}-d{depth} headroom {feedback_headroom:?}:\n{report}"
+        );
+    }
 }
 
 #[test]

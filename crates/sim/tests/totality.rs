@@ -15,7 +15,7 @@ use vrdf_core::{
 use vrdf_sim::{
     conservative_offset, minimize_capacities, validate_capacities,
     validate_capacities_under_faults, FaultPlan, FaultValidationOptions, QuantumPlan,
-    QuantumPolicy, ReferenceSimulator, SearchOptions, SimConfig, SimOutcome, Simulator,
+    QuantumPolicy, ReferenceSimulator, SearchOptions, SimConfig, SimError, SimOutcome, Simulator,
     ValidationOptions,
 };
 
@@ -420,6 +420,40 @@ fn overfilled_feedback_edge_is_a_typed_sim_error() {
             Err(vrdf_sim::SimError::InitialTokensExceedCapacity { ref buffer }) if buffer == "ba"
         ),
         "reference engine accepted an over-filled feedback buffer"
+    );
+}
+
+#[test]
+fn zero_horizon_is_a_typed_sim_error() {
+    // A battery of zero endpoint firings schedules no release, so every
+    // scenario would pass vacuously.  Every battery entry point must
+    // refuse it instead of reporting a verdict.
+    let tg = vrdf_apps::mp3_chain();
+    let analysis = compute_buffer_capacities(&tg, vrdf_apps::mp3_constraint()).expect("MP3");
+    let validation = ValidationOptions {
+        endpoint_firings: 0,
+        ..quick_opts()
+    };
+    assert_eq!(
+        validate_capacities(&tg, &analysis, &validation).err(),
+        Some(SimError::ZeroHorizon)
+    );
+    let search = SearchOptions {
+        validation: validation.clone(),
+        ..SearchOptions::default()
+    };
+    assert_eq!(
+        minimize_capacities(&tg, &analysis, &search).err(),
+        Some(SimError::ZeroHorizon)
+    );
+    let faults = FaultValidationOptions {
+        validation,
+        recovery_firings: 2,
+    };
+    let stall = FaultPlan::new().stall("vSRC", 10, 1, rat(1, 200));
+    assert_eq!(
+        validate_capacities_under_faults(&tg, &analysis, &stall, &faults).err(),
+        Some(SimError::ZeroHorizon)
     );
 }
 
